@@ -42,6 +42,11 @@ use std::fmt::Write as _;
 
 const MAGIC: &str = "rlnoc-spec v1";
 
+/// Most tasks (replicates × workloads × schemes) one spec may expand
+/// to. Admission materializes the whole task list, so an unbounded
+/// product would let a single submission exhaust the process.
+pub const MAX_TASKS: usize = 4096;
+
 /// A spec that does not describe a runnable campaign, or text that is
 /// not a valid `rlnoc-spec v1` document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -193,6 +198,15 @@ impl CampaignSpec {
         }
         if self.replicates == 0 {
             return Err(SpecError("replicates must be ≥ 1".into()));
+        }
+        let tasks = self
+            .replicates
+            .checked_mul(self.workloads.len())
+            .and_then(|t| t.checked_mul(self.schemes.len()));
+        if tasks.is_none_or(|t| t > MAX_TASKS) {
+            return Err(SpecError(format!(
+                "replicates × workloads × schemes exceeds {MAX_TASKS} tasks"
+            )));
         }
         if self.drain_limit == 0 {
             return Err(SpecError("drain_limit must be positive".into()));
@@ -388,6 +402,37 @@ impl std::fmt::Display for CampaignSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn oversized_task_grids_are_rejected_not_allocated() {
+        // A CRC-valid document whose grid would preallocate 2^40 tasks
+        // at admission: it must be a parse error, not an abort.
+        let huge = CampaignSpec {
+            replicates: 1 << 40,
+            ..CampaignSpec::tiny(7)
+        };
+        let err = CampaignSpec::from_text(&huge.to_text()).unwrap_err();
+        assert!(err.0.contains("tasks"), "{err}");
+        // A product that overflows usize is refused the same way.
+        let overflow = CampaignSpec {
+            replicates: usize::MAX,
+            ..CampaignSpec::quick(7)
+        };
+        assert!(overflow.validate().is_err());
+        // The bound itself is admissible; one past it is not.
+        let tiny = CampaignSpec::tiny(7);
+        let per_replicate = tiny.workloads.len() * tiny.schemes.len();
+        let at_bound = CampaignSpec {
+            replicates: MAX_TASKS / per_replicate,
+            ..tiny.clone()
+        };
+        assert!(at_bound.validate().is_ok());
+        let past = CampaignSpec {
+            replicates: MAX_TASKS / per_replicate + 1,
+            ..tiny
+        };
+        assert!(past.validate().is_err());
+    }
 
     #[test]
     fn text_round_trip_is_exact() {

@@ -129,6 +129,32 @@ fn unknown_campaigns_and_bad_submissions_answer_error_frames() {
 }
 
 #[test]
+fn oversized_grid_submission_is_refused_and_service_keeps_serving() {
+    // `replicates=2^40` with a valid CRC used to abort the whole process
+    // when admission preallocated the task list.
+    let (server, addr, dir) = start("oversized", 1, false);
+    let mut client = Client::connect(&addr).expect("connect");
+    let huge = CampaignSpec {
+        replicates: 1 << 40,
+        ..CampaignSpec::tiny(5)
+    };
+    let err = client.submit("alice", 1, &huge.to_text()).unwrap_err();
+    assert!(err.to_string().contains("invalid submission"), "{err}");
+
+    let spec = CampaignSpec::tiny(6);
+    let id = spec.campaign_id().expect("id");
+    let ack = client
+        .submit("alice", 1, &spec.to_text())
+        .expect("a following tiny campaign is admitted");
+    assert_eq!((ack.campaign.as_str(), ack.tasks), (id.as_str(), 1));
+    wait_done(&mut client, "alice", &id);
+    assert!(client.result("alice", &id).is_ok());
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn watch_streams_telemetry_and_ends_with_done() {
     // Staged paused: the watcher attaches before any task can run, so
     // it observes the whole campaign stream.

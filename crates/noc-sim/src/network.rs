@@ -202,6 +202,9 @@ struct FaultState {
     /// router) to a hard fault. Membership-only, ordered for
     /// deterministic iteration.
     doomed: BTreeSet<PacketId>,
+    /// Scratch for the batch being applied: `affected[node]` marks the
+    /// routers it touches (see `Network::apply_hard_fault_batch`).
+    affected: Vec<bool>,
 }
 
 impl FaultState {
@@ -213,6 +216,7 @@ impl FaultState {
             link_dead: vec![[false; MAX_PORTS]; n],
             routes: None,
             doomed: BTreeSet::new(),
+            affected: vec![false; n],
         }
     }
 
@@ -1910,7 +1914,7 @@ impl<E: ErrorControl> Network<E> {
         // no arrivals and return no credits), so the evacuation pass
         // below only needs to visit this batch's endpoints.
         let mut applied = 0u64;
-        let mut affected = vec![false; self.routers.len()];
+        fs.affected.fill(false);
         let mut any_node_died = false;
         let compass = self.mesh.compass();
         while let Some(ev) = fs.events.get(fs.next_event) {
@@ -1921,19 +1925,19 @@ impl<E: ErrorControl> Network<E> {
                 HardFaultKind::Router { node } => {
                     fs.node_dead[node.index()] = true;
                     any_node_died = true;
-                    affected[node.index()] = true;
+                    fs.affected[node.index()] = true;
                     for &dir in compass {
                         if let Some(peer) = self.mesh.neighbor(node, dir) {
                             fs.kill_link(&self.neighbors, node, dir);
-                            affected[peer.index()] = true;
+                            fs.affected[peer.index()] = true;
                         }
                     }
                 }
                 HardFaultKind::Link { node, dir } => {
                     fs.kill_link(&self.neighbors, node, dir);
-                    affected[node.index()] = true;
+                    fs.affected[node.index()] = true;
                     if let Some(peer) = self.neighbors.get(node, dir) {
-                        affected[peer.index()] = true;
+                        fs.affected[peer.index()] = true;
                     }
                 }
             }
@@ -1944,9 +1948,10 @@ impl<E: ErrorControl> Network<E> {
         // 2. Recompute the routing tree on the surviving topology. The
         // dead sets here are a pure function of the schedule, so lanes
         // sharing a schedule (and hence a cache) reuse one table; the
-        // applied-event count identifies the batch.
-        let node_alive: Vec<bool> = fs.node_dead.iter().map(|&d| !d).collect();
+        // applied-event count identifies the batch. A cache hit builds
+        // nothing.
         let compute = || {
+            let node_alive: Vec<bool> = fs.node_dead.iter().map(|&d| !d).collect();
             FaultRoutes::compute(self.mesh, &node_alive, |n, d| {
                 !fs.link_dead[n.index()][d.index()]
             })
@@ -2007,7 +2012,7 @@ impl<E: ErrorControl> Network<E> {
             let mut dealloc: Vec<(usize, usize)> = Vec::new();
             for router in self.routers.iter_mut() {
                 let ni = router.id.index();
-                if !affected[ni] {
+                if !fs.affected[ni] {
                     // Not an endpoint of anything that died this batch:
                     // no port flush, and no VC can point at a newly dead
                     // link (a VC's out link is this router's own port).

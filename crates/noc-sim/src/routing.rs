@@ -217,156 +217,170 @@ impl FaultRoutes {
         F: Fn(NodeId, Direction) -> bool,
     {
         let topo = topo.into();
-        let compass = topo.compass();
         let n = topo.num_nodes();
         assert_eq!(node_alive.len(), n, "liveness vector must cover the mesh");
-        // BFS forest: component label and level (root distance) per node.
-        let mut level: Vec<u16> = vec![u16::MAX; n];
-        let mut comp: Vec<u16> = vec![u16::MAX; n];
-        let mut queue = std::collections::VecDeque::new();
-        for root in topo.nodes() {
-            if !node_alive[root.index()] || comp[root.index()] != u16::MAX {
-                continue;
-            }
-            comp[root.index()] = root.0;
-            level[root.index()] = 0;
-            queue.push_back(root);
-            while let Some(u) = queue.pop_front() {
-                for &dir in compass {
+        const NONE: u32 = u32::MAX;
+
+        // Port-ordered CSR of live links between live routers: the links
+        // leaving `u` are `adj[offs[u]..offs[u + 1]]` as (peer, port)
+        // pairs. The only place `link_alive` and `Topo::neighbor` run.
+        let mut offs: Vec<u32> = Vec::with_capacity(n + 1);
+        let mut adj: Vec<(u32, u8)> = Vec::with_capacity(n * topo.compass().len());
+        offs.push(0);
+        for u in topo.nodes() {
+            if node_alive[u.index()] {
+                for &dir in topo.compass() {
                     if !link_alive(u, dir) {
                         continue;
                     }
-                    let Some(v) = topo.neighbor(u, dir) else {
-                        continue;
-                    };
-                    if node_alive[v.index()] && comp[v.index()] == u16::MAX {
-                        comp[v.index()] = root.0;
-                        level[v.index()] = level[u.index()] + 1;
-                        queue.push_back(v);
+                    if let Some(v) = topo.neighbor(u, dir).filter(|v| node_alive[v.index()]) {
+                        adj.push((u32::from(v.0), dir.index() as u8));
                     }
                 }
             }
+            offs.push(adj.len() as u32);
+        }
+        let links = |u: u32| &adj[offs[u as usize] as usize..offs[u as usize + 1] as usize];
+
+        // BFS forest in port order: dense component label and level
+        // (root distance) per node; roots are the smallest unlabelled
+        // live ids.
+        let mut level = vec![NONE; n];
+        let mut comp = vec![NONE; n];
+        let mut comp_size: Vec<u32> = Vec::new();
+        let mut queue: Vec<u32> = Vec::with_capacity(n);
+        for root in 0..n {
+            if !node_alive[root] || comp[root] != NONE {
+                continue;
+            }
+            let c = comp_size.len() as u32;
+            comp[root] = c;
+            level[root] = 0;
+            queue.clear();
+            queue.push(root as u32);
+            let mut head = 0;
+            while let Some(&u) = queue.get(head) {
+                head += 1;
+                for &(v, _) in links(u) {
+                    if comp[v as usize] == NONE {
+                        comp[v as usize] = c;
+                        level[v as usize] = level[u as usize] + 1;
+                        queue.push(v);
+                    }
+                }
+            }
+            comp_size.push(queue.len() as u32);
         }
 
-        // Rank orients every live link: its "up" end is the smaller
-        // `(level, id)`. Up traversals strictly decrease rank, down
-        // traversals strictly increase it.
-        let rank = |u: NodeId| (level[u.index()], u.0);
-        // Live nodes in increasing rank order, for the up-phase DP.
-        let mut by_rank: Vec<NodeId> = topo.nodes().filter(|&u| node_alive[u.index()]).collect();
-        by_rank.sort_by_key(|&u| rank(u));
+        // Live nodes sorted by (component, level, id): each component is
+        // one contiguous run in increasing `(level, id)` order, and the
+        // position is a dense rank. Links never cross components, so
+        // comparing ranks orients every live link exactly as `(level,
+        // id)` does: its "up" end is the smaller. Up traversals strictly
+        // decrease rank, down traversals strictly increase it.
+        let mut order: Vec<u64> = (0..n)
+            .filter(|&u| node_alive[u])
+            .map(|u| u64::from(comp[u]) << 48 | u64::from(level[u]) << 16 | u as u64)
+            .collect();
+        order.sort_unstable();
+        let members: Vec<u32> = order.iter().map(|&k| (k & 0xFFFF) as u32).collect();
+        let mut rank = vec![NONE; n];
+        for (r, &u) in members.iter().enumerate() {
+            rank[u as usize] = r as u32;
+        }
+
+        // Split each node's links, keeping port order: up-links (toward
+        // a lower rank) are `ud[ud_offs[u]..mid[u]]`, down-links
+        // `ud[mid[u]..ud_offs[u + 1]]`.
+        let mut ud: Vec<(u32, u8)> = Vec::with_capacity(adj.len());
+        let mut ud_offs: Vec<u32> = Vec::with_capacity(n + 1);
+        let mut mid: Vec<u32> = Vec::with_capacity(n);
+        ud_offs.push(0);
+        for u in 0..n as u32 {
+            let r = rank[u as usize];
+            ud.extend(links(u).iter().filter(|&&(v, _)| rank[v as usize] < r));
+            mid.push(ud.len() as u32);
+            ud.extend(links(u).iter().filter(|&&(v, _)| rank[v as usize] > r));
+            ud_offs.push(ud.len() as u32);
+        }
+        let up = |u: u32| &ud[ud_offs[u as usize] as usize..mid[u as usize] as usize];
+        let down = |u: u32| &ud[mid[u as usize] as usize..ud_offs[u as usize + 1] as usize];
 
         let mut table = vec![UNREACHABLE_PORT; n * n];
-        let mut dist_down: Vec<u32> = Vec::new();
-        let mut dist_any: Vec<u32> = Vec::new();
-        for dst in topo.nodes() {
-            if !node_alive[dst.index()] {
-                continue;
-            }
-            // Pure-down distance to `dst`: BFS from `dst` across
-            // reversed down traversals (a hop u→x with rank(u) <
-            // rank(x) may end a pure-down route iff x already can).
-            dist_down.clear();
-            dist_down.resize(n, u32::MAX);
-            dist_down[dst.index()] = 0;
-            queue.clear();
-            queue.push_back(dst);
-            while let Some(x) = queue.pop_front() {
-                for &dir in compass {
-                    if !link_alive(x, dir) {
-                        continue;
-                    }
-                    let Some(u) = topo.neighbor(x, dir) else {
-                        continue;
-                    };
-                    if node_alive[u.index()]
-                        && rank(u) < rank(x)
-                        && dist_down[u.index()] == u32::MAX
-                    {
-                        dist_down[u.index()] = dist_down[x.index()] + 1;
-                        queue.push_back(u);
+        let mut dist_down = vec![NONE; n];
+        let mut dist_any = vec![NONE; n];
+        let mut start = 0;
+        for &size in &comp_size {
+            let component = &members[start..start + size as usize];
+            start += size as usize;
+            for &dst in component {
+                // Pure-down distance to `dst`: BFS from `dst` along
+                // reversed down traversals, i.e. up-lists (a hop u→x
+                // with rank(u) < rank(x) may end a pure-down route iff x
+                // already can).
+                dist_down.fill(NONE);
+                dist_down[dst as usize] = 0;
+                queue.clear();
+                queue.push(dst);
+                let mut head = 0;
+                while let Some(&x) = queue.get(head) {
+                    head += 1;
+                    for &(u, _) in up(x) {
+                        if dist_down[u as usize] == NONE {
+                            dist_down[u as usize] = dist_down[x as usize] + 1;
+                            queue.push(u);
+                        }
                     }
                 }
-            }
-            // Legal (up* then down*) distance: a route either is pure
-            // down, or first climbs one up-link. Up-links strictly
-            // decrease rank, so increasing-rank order is a valid DP
-            // order.
-            dist_any.clear();
-            dist_any.resize(n, u32::MAX);
-            for &u in &by_rank {
-                if comp[u.index()] != comp[dst.index()] {
-                    continue;
+                // Legal (up* then down*) distance: a route either is
+                // pure down, or first climbs one up-link. Up-links
+                // strictly decrease rank and stay in the component, so
+                // in increasing-rank order every entry read was already
+                // written for this `dst`.
+                for &u in component {
+                    dist_any[u as usize] = up(u)
+                        .iter()
+                        .map(|&(v, _)| dist_any[v as usize].saturating_add(1))
+                        .fold(dist_down[u as usize], u32::min);
                 }
-                let mut best = dist_down[u.index()];
-                for &dir in compass {
-                    if !link_alive(u, dir) {
+                // Next hops: prefer the shortest pure-down continuation
+                // (suffix-consistent — every node after it also has
+                // one); otherwise climb the up-link on a shortest legal
+                // route. Lists are port-ordered, so the first match is
+                // the smallest-port tie-break.
+                for &u in component {
+                    if u == dst {
                         continue;
                     }
-                    let Some(v) = topo.neighbor(u, dir) else {
-                        continue;
-                    };
-                    if node_alive[v.index()] && rank(v) < rank(u) && dist_any[v.index()] != u32::MAX
-                    {
-                        best = best.min(dist_any[v.index()] + 1);
-                    }
-                }
-                dist_any[u.index()] = best;
-            }
-            // Next hops: prefer the shortest pure-down continuation
-            // (suffix-consistent — every node after it also has one);
-            // otherwise climb the up-link on a shortest legal route.
-            // Ties break toward the smallest port index.
-            for &u in &by_rank {
-                if u == dst || comp[u.index()] != comp[dst.index()] {
-                    continue;
-                }
-                let downhill = dist_down[u.index()] != u32::MAX;
-                for &dir in compass {
-                    if !link_alive(u, dir) {
-                        continue;
-                    }
-                    let Some(v) = topo.neighbor(u, dir) else {
-                        continue;
-                    };
-                    if !node_alive[v.index()] {
-                        continue;
-                    }
-                    let good = if downhill {
-                        rank(v) > rank(u)
-                            && dist_down[v.index()] != u32::MAX
-                            && dist_down[v.index()] + 1 == dist_down[u.index()]
+                    let (hops, hop_dist, candidates) = if dist_down[u as usize] != NONE {
+                        (dist_down[u as usize], &dist_down, down(u))
                     } else {
-                        rank(v) < rank(u)
-                            && dist_any[v.index()] != u32::MAX
-                            && dist_any[v.index()] + 1 == dist_any[u.index()]
+                        (dist_any[u as usize], &dist_any, up(u))
                     };
-                    if good {
-                        table[u.index() * n + dst.index()] = dir.index() as u8;
-                        break;
+                    // `hops ≥ 1` off the destination; a `NONE` hop count
+                    // matches nothing.
+                    if let Some(&(_, port)) = candidates
+                        .iter()
+                        .find(|&&(v, _)| hop_dist[v as usize] == hops - 1)
+                    {
+                        table[u as usize * n + dst as usize] = port;
                     }
+                    debug_assert_ne!(
+                        table[u as usize * n + dst as usize],
+                        UNREACHABLE_PORT,
+                        "connected pair {u}→{dst} must get a next hop"
+                    );
                 }
-                debug_assert_ne!(
-                    table[u.index() * n + dst.index()],
-                    UNREACHABLE_PORT,
-                    "connected pair {u}→{dst} must get a next hop"
-                );
+                table[dst as usize * n + dst as usize] = Direction::Local.index() as u8;
             }
-            table[dst.index() * n + dst.index()] = Direction::Local.index() as u8;
         }
 
-        let mut unreachable_pairs = 0u64;
-        for u in topo.nodes() {
-            for v in topo.nodes() {
-                if u != v
-                    && node_alive[u.index()]
-                    && node_alive[v.index()]
-                    && comp[u.index()] != comp[v.index()]
-                {
-                    unreachable_pairs += 1;
-                }
-            }
-        }
+        // Ordered live pairs in different components.
+        let live: u64 = members.len() as u64;
+        let unreachable_pairs = comp_size
+            .iter()
+            .map(|&s| u64::from(s) * (live - u64::from(s)))
+            .sum();
 
         Self {
             table,

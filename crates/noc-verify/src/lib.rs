@@ -10,7 +10,9 @@
 //!   semantics (by-value flits, `HashMap` bookkeeping, bitwise
 //!   SECDED/CRC oracles, no caches, no skip counters) that plugs into
 //!   the production experiment pipeline through the
-//!   [`SimBackend`](rlnoc_core::backend::SimBackend) seam.
+//!   [`SimBackend`](rlnoc_core::backend::SimBackend) seam. After a hard
+//!   fault it reroutes with its own up*/down* builder,
+//!   [`reffault::RefFaultRoutes`].
 //! * **A differential driver** — [`diff`] runs randomly generated
 //!   [`FuzzCase`](rlnoc_core::fuzzcase::FuzzCase)s on both engines,
 //!   demands bit-identical [`ExperimentReport`](rlnoc_core::ExperimentReport)s,
@@ -30,6 +32,7 @@
 
 pub mod backend;
 pub mod diff;
+pub mod reffault;
 pub mod refnet;
 pub mod refproto;
 pub mod refrouter;
@@ -40,6 +43,7 @@ pub use diff::{
     batch_sample_width, run_case, run_case_batched, run_case_with, shrink, shrink_divergence,
     CaseOutcome,
 };
+pub use reffault::RefFaultRoutes;
 pub use refnet::RefNetwork;
 pub use refproto::RefProtocol;
 pub use refrouter::RefRouter;
