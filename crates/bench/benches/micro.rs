@@ -148,12 +148,9 @@ fn bench_dt_predict(c: &mut Criterion) {
 
 fn bench_arbiter(c: &mut Criterion) {
     let mut arb = RoundRobinArbiter::new(20);
-    let mut requests = [false; 20];
-    for i in (0..20).step_by(3) {
-        requests[i] = true;
-    }
+    let requests: u64 = (0..20).step_by(3).map(|i| 1 << i).sum();
     c.bench_function("round_robin_grant_20", |b| {
-        b.iter(|| arb.grant(black_box(&requests)))
+        b.iter(|| arb.grant_mask(black_box(requests)))
     });
 }
 

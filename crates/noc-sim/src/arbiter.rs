@@ -3,10 +3,15 @@
 //! Virtual-channel allocation and switch allocation both resolve
 //! multi-requester conflicts with rotating-priority (round-robin)
 //! arbiters, the structure used by the canonical 4-stage VC router.
+//! Requests arrive as a `u64` bitmask (bit `i` = requester `i`), the
+//! same masks the router keeps its pipeline state in.
 
 use serde::{Deserialize, Serialize};
 
-/// A rotating-priority arbiter over `n` requesters.
+/// Largest requester count a mask arbiter supports (one `u64` bit each).
+pub const MAX_REQUESTERS: usize = 64;
+
+/// A rotating-priority arbiter over `n ≤ 64` requesters.
 ///
 /// Fairness property: a requester that keeps requesting is granted within
 /// `n` invocations regardless of competing requesters.
@@ -17,11 +22,11 @@ use serde::{Deserialize, Serialize};
 /// use noc_sim::arbiter::RoundRobinArbiter;
 ///
 /// let mut arb = RoundRobinArbiter::new(4);
-/// assert_eq!(arb.grant(&[true, true, false, false]), Some(0));
+/// assert_eq!(arb.grant_mask(0b0011), Some(0));
 /// // Priority rotates past the last winner.
-/// assert_eq!(arb.grant(&[true, true, false, false]), Some(1));
-/// assert_eq!(arb.grant(&[true, true, false, false]), Some(0));
-/// assert_eq!(arb.grant(&[false, false, false, false]), None);
+/// assert_eq!(arb.grant_mask(0b0011), Some(1));
+/// assert_eq!(arb.grant_mask(0b0011), Some(0));
+/// assert_eq!(arb.grant_mask(0), None);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RoundRobinArbiter {
@@ -35,9 +40,13 @@ impl RoundRobinArbiter {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0` or `n > MAX_REQUESTERS`.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "arbiter needs at least one requester");
+        assert!(
+            n <= MAX_REQUESTERS,
+            "arbiter over {n} requesters exceeds the {MAX_REQUESTERS}-bit request mask"
+        );
         Self { n, next: 0 }
     }
 
@@ -51,34 +60,30 @@ impl RoundRobinArbiter {
         false
     }
 
-    /// Grants one of the asserted requests, rotating priority past the
-    /// winner. Returns `None` when no request is asserted.
+    /// Grants one of the requests set in `mask`, rotating priority past
+    /// the winner. Returns `None` when `mask == 0`.
+    ///
+    /// The winner is the lowest set bit at or above the priority pointer,
+    /// wrapping to the lowest set bit overall — exactly the first hit of
+    /// a scan `next, next + 1, …, n − 1, 0, …, next − 1`.
     ///
     /// # Panics
     ///
-    /// Panics if `requests.len() != self.len()`.
-    pub fn grant(&mut self, requests: &[bool]) -> Option<usize> {
-        assert_eq!(requests.len(), self.n, "request vector size mismatch");
-        for offset in 0..self.n {
-            let idx = (self.next + offset) % self.n;
-            if requests[idx] {
-                self.next = (idx + 1) % self.n;
-                return Some(idx);
-            }
-        }
-        None
-    }
-
-    /// Like [`grant`](Self::grant) but with requests given as indices.
-    pub fn grant_indices(&mut self, requesters: &[usize]) -> Option<usize> {
-        if requesters.is_empty() {
+    /// Panics if `mask` has a bit set at or above `self.len()`.
+    #[inline]
+    pub fn grant_mask(&mut self, mask: u64) -> Option<usize> {
+        assert!(
+            mask.checked_shr(self.n as u32).unwrap_or(0) == 0,
+            "request mask {mask:#x} exceeds {} requesters",
+            self.n
+        );
+        if mask == 0 {
             return None;
         }
-        let mut requests = vec![false; self.n];
-        for &r in requesters {
-            requests[r] = true;
-        }
-        self.grant(&requests)
+        let upper = mask & (u64::MAX << self.next);
+        let idx = if upper != 0 { upper } else { mask }.trailing_zeros() as usize;
+        self.next = if idx + 1 == self.n { 0 } else { idx + 1 };
+        Some(idx)
     }
 
     /// Resets the priority pointer (used when re-seeding experiments).
@@ -95,21 +100,20 @@ mod tests {
     fn single_requester_always_wins() {
         let mut arb = RoundRobinArbiter::new(3);
         for _ in 0..10 {
-            assert_eq!(arb.grant(&[false, true, false]), Some(1));
+            assert_eq!(arb.grant_mask(0b010), Some(1));
         }
     }
 
     #[test]
     fn no_request_no_grant() {
         let mut arb = RoundRobinArbiter::new(2);
-        assert_eq!(arb.grant(&[false, false]), None);
+        assert_eq!(arb.grant_mask(0), None);
     }
 
     #[test]
     fn grants_rotate_fairly() {
         let mut arb = RoundRobinArbiter::new(3);
-        let all = [true, true, true];
-        let seq: Vec<_> = (0..6).map(|_| arb.grant(&all).unwrap()).collect();
+        let seq: Vec<_> = (0..6).map(|_| arb.grant_mask(0b111).unwrap()).collect();
         assert_eq!(seq, vec![0, 1, 2, 0, 1, 2]);
     }
 
@@ -117,10 +121,9 @@ mod tests {
     fn starvation_freedom_within_n_rounds() {
         let mut arb = RoundRobinArbiter::new(4);
         // Requester 3 keeps requesting while everyone else also requests.
-        let all = [true; 4];
         let mut granted = false;
         for _ in 0..4 {
-            if arb.grant(&all) == Some(3) {
+            if arb.grant_mask(0b1111) == Some(3) {
                 granted = true;
             }
         }
@@ -128,31 +131,23 @@ mod tests {
     }
 
     #[test]
-    fn grant_indices_matches_grant() {
-        let mut a = RoundRobinArbiter::new(4);
-        let mut b = RoundRobinArbiter::new(4);
+    fn full_width_arbiter_wraps() {
+        let mut arb = RoundRobinArbiter::new(64);
+        assert_eq!(arb.grant_mask(1 << 63), Some(63));
         assert_eq!(
-            a.grant(&[false, true, false, true]),
-            b.grant_indices(&[1, 3])
+            arb.grant_mask((1 << 63) | 1),
+            Some(0),
+            "pointer wrapped to 0"
         );
-        assert_eq!(
-            a.grant(&[false, true, false, true]),
-            b.grant_indices(&[3, 1])
-        );
-    }
-
-    #[test]
-    fn grant_indices_empty_is_none() {
-        let mut arb = RoundRobinArbiter::new(4);
-        assert_eq!(arb.grant_indices(&[]), None);
+        assert_eq!(arb.grant_mask(u64::MAX), Some(1));
     }
 
     #[test]
     fn reset_restores_initial_priority() {
         let mut arb = RoundRobinArbiter::new(2);
-        arb.grant(&[true, true]);
+        arb.grant_mask(0b11);
         arb.reset();
-        assert_eq!(arb.grant(&[true, true]), Some(0));
+        assert_eq!(arb.grant_mask(0b11), Some(0));
     }
 
     #[test]
@@ -162,10 +157,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "size mismatch")]
-    fn wrong_request_size_panics() {
+    #[should_panic(expected = "64-bit request mask")]
+    fn oversize_arbiter_panics() {
+        let _ = RoundRobinArbiter::new(65);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 2 requesters")]
+    fn out_of_range_request_panics() {
         let mut arb = RoundRobinArbiter::new(2);
-        let _ = arb.grant(&[true]);
+        let _ = arb.grant_mask(0b100);
     }
 }
 
@@ -177,11 +178,12 @@ mod prop_tests {
     proptest! {
         /// The grant, when present, is always an asserted request.
         #[test]
-        fn grant_is_a_requester(requests in proptest::collection::vec(any::<bool>(), 1..16)) {
-            let mut arb = RoundRobinArbiter::new(requests.len());
-            match arb.grant(&requests) {
-                Some(idx) => prop_assert!(requests[idx]),
-                None => prop_assert!(requests.iter().all(|&r| !r)),
+        fn grant_is_a_requester(n in 1usize..65, raw in any::<u64>()) {
+            let mask = if n == 64 { raw } else { raw & ((1 << n) - 1) };
+            let mut arb = RoundRobinArbiter::new(n);
+            match arb.grant_mask(mask) {
+                Some(idx) => prop_assert!(mask & (1 << idx) != 0),
+                None => prop_assert_eq!(mask, 0),
             }
         }
 
@@ -190,10 +192,10 @@ mod prop_tests {
         #[test]
         fn all_requesters_served_in_n_rounds(n in 1usize..12) {
             let mut arb = RoundRobinArbiter::new(n);
-            let all = vec![true; n];
+            let all = (1u64 << n) - 1;
             let mut seen = vec![false; n];
             for _ in 0..n {
-                let g = arb.grant(&all).expect("requests asserted");
+                let g = arb.grant_mask(all).expect("requests asserted");
                 prop_assert!(!seen[g], "index granted twice in one rotation");
                 seen[g] = true;
             }

@@ -76,6 +76,12 @@ impl NocConfig {
                  (tori need at least 2 VCs for the date-line split)",
             ));
         }
+        if self.mesh.num_ports() * self.vcs_per_port as usize > crate::arbiter::MAX_REQUESTERS {
+            return Err(ConfigError(
+                "ports × vcs_per_port exceeds 64, the width of the router's \
+                 input-VC bitmasks",
+            ));
+        }
         if self.vc_depth == 0 {
             return Err(ConfigError("vc_depth must be positive"));
         }
@@ -282,6 +288,27 @@ mod tests {
     fn mesh_with_one_vc_is_fine() {
         let c = NocConfig::builder().mesh(4, 4).vcs_per_port(1).build();
         assert!(c.validate().is_ok());
+    }
+
+    fn with_vcs(topo: Topo, vcs_per_port: u8) -> NocConfig {
+        NocConfig {
+            mesh: topo,
+            vcs_per_port,
+            ..NocConfig::default()
+        }
+    }
+
+    #[test]
+    fn vc_masks_bound_ports_times_vcs_at_64() {
+        let cube = Topo::mesh3d(4, 4, 2);
+        assert_eq!(cube.num_ports(), 7);
+        assert!(with_vcs(cube, 9).validate().is_ok(), "7 × 9 = 63 fits");
+        let err = with_vcs(cube, 10).validate().unwrap_err();
+        assert!(err.to_string().contains("exceeds 64"), "7 × 10 = 70: {err}");
+        let plane = Topo::mesh(8, 8);
+        assert_eq!(plane.num_ports(), 5);
+        assert!(with_vcs(plane, 12).validate().is_ok(), "5 × 12 = 60 fits");
+        assert!(with_vcs(plane, 13).validate().is_err(), "5 × 13 = 65");
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //!   are deliberately lost, never replenished), and every entry of the
 //!   fault-adaptive reroute table points at a live link to a live
 //!   neighbor.
-//! * **Pipeline-stage counters** — the incremental `occupied_vcs` /
-//!   `rc_pending` / `needs_va` / `active_vcs` skip counters match a full
-//!   rescan (the release-build analogue of
+//! * **Pipeline-stage state** — the incremental `occupied_vcs` count
+//!   and the `rc_mask` / `va_mask` / `active_mask` / `resend_mask` stage
+//!   masks match a full rescan (the release-build analogue of
 //!   [`Router::debug_check_stage_counters`]).
 //! * **No-progress watchdog** — a non-quiescent network whose activity
 //!   fingerprint has not changed for [`WATCHDOG_CYCLES`] cycles is
@@ -319,27 +319,16 @@ impl<E: ErrorControl> Network<E> {
         }
     }
 
-    /// Pipeline-stage skip counters match a full VC rescan, in release
-    /// builds too (the optimized phases trust these to skip routers).
+    /// Pipeline-stage count and masks match a full VC and resend-queue
+    /// rescan, in release builds too (the optimized phases trust them to
+    /// skip routers and to pick which VCs to visit).
     fn verify_stage_counters(&self) {
         for r in &self.routers {
-            let (mut occupied, mut rc, mut va, mut active) = (0u32, 0u32, 0u32, 0u32);
-            for vc in r.inputs.iter() {
-                if vc.occupied() {
-                    occupied += 1;
-                }
-                match vc.state {
-                    VcState::Idle if !vc.fifo.is_empty() => rc += 1,
-                    VcState::Idle => {}
-                    VcState::NeedsVa { .. } => va += 1,
-                    VcState::Active { .. } => active += 1,
-                }
-            }
             assert_eq!(
-                (occupied, rc, va, active),
-                (r.occupied_vcs, r.rc_pending, r.needs_va, r.active_vcs),
+                r.rescan_stage_state(),
+                r.stage_state(),
                 "pipeline-stage counters diverged from rescan at {} (cycle {}): \
-                 (occupied, rc, va, active)",
+                 (occupied, rc_mask, va_mask, active_mask, resend_mask) rescanned vs kept",
                 r.id,
                 self.cycle,
             );
@@ -520,7 +509,8 @@ mod tests {
     #[should_panic(expected = "pipeline-stage counters diverged")]
     fn corrupted_stage_counter_is_detected() {
         let mut net = armed_net(PerfectLink::new());
-        net.routers[0].rc_pending += 1;
+        // Mark an empty VC as an RC candidate.
+        net.routers[0].rc_mask ^= 1;
         net.step();
     }
 

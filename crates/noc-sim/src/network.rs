@@ -113,6 +113,7 @@ impl Wheel {
         }
     }
 
+    #[inline]
     fn push(&mut self, now: u64, at: u64, event: Event) {
         assert!(at > now, "events must be scheduled in the future");
         assert!(at - now < WHEEL, "event horizon exceeded");
@@ -1007,9 +1008,8 @@ impl<E: ErrorControl> Network<E> {
                         // draw), and the buffer keeps its own pristine copy
                         // for further NACKs.
                         let flit = self.arena.alloc(flit);
-                        self.routers[node.index()].outputs[port.index()]
-                            .retx_pending
-                            .push_back(PendingRetransmit { flit, out_vc, seq });
+                        self.routers[node.index()]
+                            .push_resend(port.index(), PendingRetransmit { flit, out_vc, seq });
                         // A pending resend is SA/ST work even on an
                         // otherwise-empty router.
                         self.active.insert(node.index());
@@ -1478,7 +1478,7 @@ impl<E: ErrorControl> Network<E> {
 
     /// Split-path SA/ST driver (telemetry spans enabled): one pass over
     /// the worklist. Routers outside the worklist have no occupied VC
-    /// and no pending resend, which implies `active_vcs == 0` — exactly
+    /// and no pending resend, which implies `active_mask == 0` — exactly
     /// the routers the old dense loop skipped.
     fn sa_st_phase(&mut self, cycle: u64) {
         for wi in 0..self.active.num_words() {
@@ -1517,43 +1517,41 @@ impl<E: ErrorControl> Network<E> {
             // on empty request sets are no-ops, and `next_free` is only
             // advanced when something is sent.
             router.debug_check_stage_counters();
-            if router.active_vcs == 0 && router.outputs.iter().all(|o| o.retx_pending.is_empty()) {
+            if router.active_mask == 0 && router.resend_mask == 0 {
                 return;
             }
             let rid = router.id;
             let v = router.vcs_per_port;
             let np = router.num_ports;
-            let mut port_used = [false; MAX_PORTS];
+            // Output ports dedicated to a priority resend this cycle.
+            let mut port_used = 0u8;
 
             // Phase A: priority resends of NACKed flits. A port with a
             // pending retransmission is dedicated to it (order safety).
-            for (out_p, used) in port_used.iter_mut().enumerate().take(np) {
+            // A busy port (`cycle < next_free`) is skipped by Phases B
+            // and C through their own `next_free` checks, so only resend
+            // ports need marking here.
+            let mut resends = router.resend_mask;
+            while resends != 0 {
+                let out_p = resends.trailing_zeros() as usize;
+                resends &= resends - 1;
                 let dir = Direction::from_index(out_p);
-                if dir == Direction::Local {
-                    continue;
-                }
+                debug_assert_ne!(dir, Direction::Local, "ejection is never NACKed");
+                port_used |= 1 << out_p;
                 if cycle < router.outputs[out_p].next_free {
-                    *used = true;
                     continue;
                 }
-                if router.outputs[out_p].retx_pending.is_empty() {
-                    continue;
-                }
-                *used = true;
                 let can_send = {
                     let pr = router.outputs[out_p]
                         .retx_pending
                         .front()
-                        .expect("non-empty");
+                        .expect("resend_mask marks non-empty queues");
                     router.outputs[out_p].vcs[pr.out_vc as usize].credits > 0
                 };
                 if !can_send {
                     continue;
                 }
-                let pr = router.outputs[out_p]
-                    .retx_pending
-                    .pop_front()
-                    .expect("non-empty");
+                let pr = router.pop_resend(out_p).expect("non-empty");
                 router.outputs[out_p].vcs[pr.out_vc as usize].credits -= 1;
                 let link = LinkId { src: rid, dir };
                 let delay = protocol.tx_delay(link) as u64;
@@ -1579,27 +1577,27 @@ impl<E: ErrorControl> Network<E> {
                 router.outputs[out_p].next_free = cycle + 1 + delay + u64::from(pre);
             }
 
-            // Phase B: input-first selection. Ports past the last
-            // Active VC are skipped: they can assert no request, so the
-            // input arbiters and `selected` entries they would produce
-            // are identical to not visiting them at all.
-            let mut selected: [Option<(usize, usize, u8)>; MAX_PORTS] = [None; MAX_PORTS];
-            let mut any_selected = false;
-            let mut remaining_active = router.active_vcs;
+            // Phase B: input-first selection over each input port's
+            // Active VCs. `selected[in_p]` is the winning `(vc, out_vc)`;
+            // `out_requests[out_p]` collects, as a mask over input ports,
+            // the winners that target `out_p`.
+            let vc_bits = u64::MAX >> (64 - v);
+            let mut selected = [(0usize, 0u8); MAX_PORTS];
+            let mut out_requests = [0u64; MAX_PORTS];
+            let mut requested_outs = 0u8;
             for (in_p, sel) in selected.iter_mut().enumerate().take(np) {
-                if remaining_active == 0 {
-                    break;
-                }
-                router.sa_scratch.fill(false);
-                let mut any = false;
-                for (in_v, ivc) in router.inputs[in_p * v..(in_p + 1) * v].iter().enumerate() {
+                let mut active = (router.active_mask >> (in_p * v)) & vc_bits;
+                let mut requests = 0u64;
+                while active != 0 {
+                    let in_v = active.trailing_zeros() as usize;
+                    active &= active - 1;
+                    let ivc = &router.inputs[in_p * v + in_v];
                     let VcState::Active {
                         out_port, out_vc, ..
                     } = ivc.state
                     else {
-                        continue;
+                        unreachable!("active_mask marks only Active VCs");
                     };
-                    remaining_active -= 1;
                     let Some(front) = ivc.fifo.front() else {
                         continue;
                     };
@@ -1607,7 +1605,7 @@ impl<E: ErrorControl> Network<E> {
                         continue;
                     }
                     let op = out_port.index();
-                    if port_used[op] || cycle < router.outputs[op].next_free {
+                    if port_used & (1 << op) != 0 || cycle < router.outputs[op].next_free {
                         continue;
                     }
                     if out_port != Direction::Local {
@@ -1622,52 +1620,39 @@ impl<E: ErrorControl> Network<E> {
                             continue;
                         }
                     }
-                    router.sa_scratch[in_v] = true;
-                    any = true;
+                    requests |= 1 << in_v;
                 }
-                if !any {
-                    continue;
-                }
-                if let Some(win) = router.sa_input_arbiters[in_p].grant(&router.sa_scratch) {
+                if let Some(win) = router.sa_input_arbiters[in_p].grant_mask(requests) {
                     let VcState::Active {
                         out_port, out_vc, ..
                     } = router.inputs[in_p * v + win].state
                     else {
                         unreachable!("selected VC must be active");
                     };
-                    *sel = Some((win, out_port.index(), out_vc));
-                    any_selected = true;
+                    *sel = (win, out_vc);
+                    out_requests[out_port.index()] |= 1 << in_p;
+                    requested_outs |= 1 << out_port.index();
                 }
-            }
-            if !any_selected {
-                return; // no winner anywhere: Phase C cannot fire
             }
 
-            // Phase C: output arbitration + switch traversal.
-            for (out_p, &used) in port_used.iter().enumerate().take(np) {
-                if used || cycle < router.outputs[out_p].next_free {
-                    continue;
-                }
-                let mut requests = [false; MAX_PORTS];
-                let mut any = false;
-                for (in_p, sel) in selected.iter().enumerate().take(np) {
-                    if let Some((_, op, _)) = sel {
-                        if *op == out_p {
-                            requests[in_p] = true;
-                            any = true;
-                        }
-                    }
-                }
-                if !any {
-                    continue;
-                }
+            // Phase C: output arbitration + switch traversal, in
+            // ascending output-port order. Every requested port passed
+            // the free/unused check in Phase B, and traversal only
+            // advances the `next_free` of the port it sends on.
+            while requested_outs != 0 {
+                let out_p = requested_outs.trailing_zeros() as usize;
+                requested_outs &= requested_outs - 1;
+                debug_assert!(
+                    port_used & (1 << out_p) == 0 && cycle >= router.outputs[out_p].next_free
+                );
                 let in_p = router.sa_output_arbiters[out_p]
-                    .grant(&requests[..np])
+                    .grant_mask(out_requests[out_p])
                     .expect("a request was asserted");
-                let (in_v, _, out_vc) = selected[in_p].expect("request implies selection");
+                let (in_v, out_vc) = selected[in_p];
+                let flat = in_p * v + in_v;
 
                 counters[ri].sa_grants += 1;
-                let bf = router.inputs[in_p * v + in_v]
+                let bf = router.inputs[flat]
                     .fifo
                     .pop_front()
                     .expect("granted VC holds a flit");
@@ -1676,15 +1661,15 @@ impl<E: ErrorControl> Network<E> {
                 epoch[ri].flits_out[out_p] += 1;
                 let is_tail = arena[bf.flit].kind.is_tail();
                 if is_tail {
-                    router.inputs[in_p * v + in_v].state = VcState::Idle;
-                    router.active_vcs -= 1;
-                    if !router.inputs[in_p * v + in_v].fifo.is_empty() {
+                    router.inputs[flat].state = VcState::Idle;
+                    router.active_mask &= !(1 << flat);
+                    if !router.inputs[flat].fifo.is_empty() {
                         // The next packet's head is already buffered; it
                         // becomes an RC candidate immediately.
-                        router.rc_pending += 1;
+                        router.rc_mask |= 1 << flat;
                     }
                 }
-                if !router.inputs[in_p * v + in_v].occupied() {
+                if !router.inputs[flat].occupied() {
                     router.occupied_vcs -= 1;
                 }
 
@@ -1865,7 +1850,7 @@ impl<E: ErrorControl> Network<E> {
                 let router = &self.routers[ri];
                 let occ = router.occupied_input_vcs();
                 self.epoch[ri].occupied_vc_cycles += occ as u64;
-                if occ == 0 && router.outputs.iter().all(|o| o.retx_pending.is_empty()) {
+                if occ == 0 && router.resend_mask == 0 {
                     self.active.remove(ri);
                 }
             }
@@ -1877,11 +1862,8 @@ impl<E: ErrorControl> Network<E> {
     /// state wholesale rather than through the incremental insert sites.
     fn rebuild_worklists(&mut self) {
         for (ri, router) in self.routers.iter().enumerate() {
-            self.active.set(
-                ri,
-                router.occupied_vcs > 0
-                    || router.outputs.iter().any(|o| !o.retx_pending.is_empty()),
-            );
+            self.active
+                .set(ri, router.occupied_vcs > 0 || router.resend_mask != 0);
         }
         for ni in 0..self.routers.len() {
             self.inject_active.set(

@@ -145,22 +145,24 @@ pub struct Router {
     /// every FIFO push/pop and VC release. Lets the per-cycle phases
     /// skip idle routers entirely instead of rescanning `P × V` VCs.
     pub(crate) occupied_vcs: u32,
-    /// Count of idle input VCs holding a buffered flit — the candidates
-    /// the RC stage would examine. Zero lets `rc_stage` return without
-    /// scanning; maintained at enqueue, RC promotion, and VC release.
-    pub(crate) rc_pending: u32,
-    /// Count of input VCs in [`VcState::NeedsVa`]. Zero lets `va_stage`
-    /// return without scanning: with no requester, no arbiter is
-    /// consulted and no output VC changes, so the skip is exact.
-    pub(crate) needs_va: u32,
-    /// Count of input VCs in [`VcState::Active`]. Together with empty
-    /// resend queues, zero lets the SA/ST phase skip the router: no
-    /// request can be asserted, so arbiters and ports are untouched.
-    pub(crate) active_vcs: u32,
-    /// Reusable request vector for SA input arbitration (`V` slots).
-    pub(crate) sa_scratch: Vec<bool>,
-    /// Reusable request vector for VA arbitration (`num_ports × V`).
-    pub(crate) va_scratch: Vec<bool>,
+    /// Pipeline-stage membership as bitmasks over the flat input-VC
+    /// index `port * V + vc` (`P × V ≤ 64`, enforced by
+    /// [`NocConfig::validate`]). The stages walk set bits in ascending
+    /// order — the order of a full slab scan — so a zero mask skips a
+    /// stage exactly, and a non-zero one visits only the VCs that can
+    /// act. Maintained at enqueue, RC promotion, VA grant, and SA tail
+    /// release; rebuilt by rescan after hard-fault purges.
+    ///
+    /// `rc_mask`: idle VCs holding a buffered flit (RC candidates).
+    pub(crate) rc_mask: u64,
+    /// VCs in [`VcState::NeedsVa`] (VA requesters).
+    pub(crate) va_mask: u64,
+    /// VCs in [`VcState::Active`] (the only VCs that can assert SA
+    /// requests).
+    pub(crate) active_mask: u64,
+    /// Output ports whose NACK resend queue (`retx_pending`) is
+    /// non-empty, bit `port`.
+    pub(crate) resend_mask: u8,
 }
 
 impl Router {
@@ -202,11 +204,10 @@ impl Router {
                 .map(|_| RoundRobinArbiter::new(num_ports))
                 .collect(),
             occupied_vcs: 0,
-            rc_pending: 0,
-            needs_va: 0,
-            active_vcs: 0,
-            sa_scratch: vec![false; v],
-            va_scratch: vec![false; num_ports * v],
+            rc_mask: 0,
+            va_mask: 0,
+            active_mask: 0,
+            resend_mask: 0,
         }
     }
 
@@ -245,37 +246,82 @@ impl Router {
     }
 
     /// Appends a flit handle to an input VC FIFO, maintaining the
-    /// incremental occupied-VC count. All buffer writes go through here.
+    /// occupied-VC count and the RC mask. All buffer writes go through
+    /// here.
     pub(crate) fn enqueue(&mut self, in_port: usize, vc: usize, flit: FlitRef, arrived_at: u64) {
-        let ivc = &mut self.inputs[in_port * self.vcs_per_port + vc];
+        let flat = in_port * self.vcs_per_port + vc;
+        let ivc = &mut self.inputs[flat];
         if !ivc.occupied() {
             self.occupied_vcs += 1;
         }
         if ivc.state == VcState::Idle && ivc.fifo.is_empty() {
-            self.rc_pending += 1;
+            self.rc_mask |= 1 << flat;
         }
         ivc.fifo.push_back(BufferedFlit { flit, arrived_at });
     }
 
-    /// Debug cross-check of the three incremental pipeline-stage
-    /// counters against a full VC rescan (compiled out in release).
+    /// Queues a NACKed flit for priority resend on `port`, marking the
+    /// port in the resend mask.
+    pub(crate) fn push_resend(&mut self, port: usize, pending: PendingRetransmit) {
+        self.outputs[port].retx_pending.push_back(pending);
+        self.resend_mask |= 1 << port;
+    }
+
+    /// Pops the next priority resend on `port`, clearing the port's
+    /// resend-mask bit when its queue empties.
+    pub(crate) fn pop_resend(&mut self, port: usize) -> Option<PendingRetransmit> {
+        let queue = &mut self.outputs[port].retx_pending;
+        let pending = queue.pop_front();
+        if queue.is_empty() {
+            self.resend_mask &= !(1 << port);
+        }
+        pending
+    }
+
+    /// `(occupied_vcs, rc_mask, va_mask, active_mask, resend_mask)` as
+    /// maintained incrementally.
+    pub(crate) fn stage_state(&self) -> (u32, u64, u64, u64, u8) {
+        (
+            self.occupied_vcs,
+            self.rc_mask,
+            self.va_mask,
+            self.active_mask,
+            self.resend_mask,
+        )
+    }
+
+    /// The same tuple as [`stage_state`](Self::stage_state), re-derived
+    /// from scratch by scanning every input VC and output port.
+    pub(crate) fn rescan_stage_state(&self) -> (u32, u64, u64, u64, u8) {
+        let (mut occupied, mut rc, mut va, mut active, mut resend) = (0u32, 0u64, 0u64, 0u64, 0u8);
+        for (flat, vc) in self.inputs.iter().enumerate() {
+            if vc.occupied() {
+                occupied += 1;
+            }
+            let bit = 1u64 << flat;
+            match vc.state {
+                VcState::Idle if !vc.fifo.is_empty() => rc |= bit,
+                VcState::Idle => {}
+                VcState::NeedsVa { .. } => va |= bit,
+                VcState::Active { .. } => active |= bit,
+            }
+        }
+        for (port, out) in self.outputs.iter().enumerate() {
+            if !out.retx_pending.is_empty() {
+                resend |= 1 << port;
+            }
+        }
+        (occupied, rc, va, active, resend)
+    }
+
+    /// Debug cross-check of the incremental pipeline-stage masks against
+    /// a full rescan (compiled out in release).
     pub(crate) fn debug_check_stage_counters(&self) {
         if cfg!(debug_assertions) {
-            let mut rc = 0u32;
-            let mut va = 0u32;
-            let mut active = 0u32;
-            for vc in &self.inputs {
-                match vc.state {
-                    VcState::Idle if !vc.fifo.is_empty() => rc += 1,
-                    VcState::Idle => {}
-                    VcState::NeedsVa { .. } => va += 1,
-                    VcState::Active { .. } => active += 1,
-                }
-            }
             debug_assert_eq!(
-                (rc, va, active),
-                (self.rc_pending, self.needs_va, self.active_vcs),
-                "pipeline-stage counters diverged at {}",
+                self.stage_state(),
+                self.rescan_stage_state(),
+                "pipeline-stage masks diverged at {}",
                 self.id
             );
         }
@@ -323,25 +369,14 @@ impl Router {
         doomed: &mut Vec<(PacketId, bool)>,
     ) {
         self.debug_check_stage_counters();
-        if self.rc_pending == 0 {
-            return; // no idle VC holds a flit: nothing to route
-        }
-        // Flat scan visits VCs in the same port-major order as the old
-        // nested loops; once every RC candidate (idle VC with a buffered
-        // flit) has been seen, the remaining VCs cannot route and the
-        // scan stops early.
-        let mut remaining = self.rc_pending;
-        for vc in &mut self.inputs {
-            if remaining == 0 {
-                break;
-            }
-            if vc.state != VcState::Idle {
-                continue;
-            }
-            let Some(front) = vc.fifo.front() else {
-                continue;
-            };
-            remaining -= 1;
+        // Set bits come out in ascending flat index, the port-major order
+        // of a full slab scan, so `doomed` fills in the same order.
+        let mut candidates = self.rc_mask;
+        while candidates != 0 {
+            let flat = candidates.trailing_zeros() as usize;
+            candidates &= candidates - 1;
+            let vc = &mut self.inputs[flat];
+            let front = vc.fifo.front().expect("RC candidate holds a flit");
             if front.arrived_at >= cycle {
                 continue; // still in the BW stage
             }
@@ -368,35 +403,23 @@ impl Router {
                 class,
                 packet: flit.packet,
             };
-            self.rc_pending -= 1;
-            self.needs_va += 1;
+            self.rc_mask &= !(1 << flat);
+            self.va_mask |= 1 << flat;
         }
     }
 
-    /// Rebuilds the four incremental stage counters by rescanning every
-    /// input VC. Only used after a hard-fault purge rewrites FIFO and VC
-    /// state wholesale, where incremental maintenance is not worth the
-    /// complexity.
+    /// Rebuilds the occupied-VC count and the stage masks by rescanning
+    /// every input VC and output port. Only used after a hard-fault
+    /// purge rewrites FIFO, VC and resend state wholesale, where
+    /// incremental maintenance is not worth the complexity.
     pub(crate) fn recount_stage_counters(&mut self) {
-        let mut occupied = 0u32;
-        let mut rc = 0u32;
-        let mut va = 0u32;
-        let mut active = 0u32;
-        for vc in &self.inputs {
-            if vc.occupied() {
-                occupied += 1;
-            }
-            match vc.state {
-                VcState::Idle if !vc.fifo.is_empty() => rc += 1,
-                VcState::Idle => {}
-                VcState::NeedsVa { .. } => va += 1,
-                VcState::Active { .. } => active += 1,
-            }
-        }
-        self.occupied_vcs = occupied;
-        self.rc_pending = rc;
-        self.needs_va = va;
-        self.active_vcs = active;
+        (
+            self.occupied_vcs,
+            self.rc_mask,
+            self.va_mask,
+            self.active_mask,
+            self.resend_mask,
+        ) = self.rescan_stage_state();
     }
 
     /// Virtual-channel allocation: one grant per output port per cycle.
@@ -404,31 +427,35 @@ impl Router {
     /// Returns the number of allocations performed (for the power model).
     pub(crate) fn va_stage(&mut self) -> u64 {
         self.debug_check_stage_counters();
-        if self.needs_va == 0 {
+        if self.va_mask == 0 {
             return 0; // no requester: arbiters and output VCs untouched
         }
-        // One pre-pass marks which (output port, VC class) pairs have a
-        // requester at all, so the per-port loop below only rescans the
-        // slab for ports that can actually grant. A requester targets
+        // One pass over the requesters sorts them into a request mask
+        // per (output port, VC class); the flat VC index *is* the
+        // arbiter's `port * V + vc` request index. A requester targets
         // exactly one port, and a grant at an earlier port removes the
-        // winner only from that port's request set, so the marks stay
+        // winner only from that port's request set, so the masks stay
         // valid across the loop.
-        let mut has_requester = [[false; 3]; crate::topology::MAX_PORTS];
-        for vc in &self.inputs {
-            if let VcState::NeedsVa {
+        let mut requests = [[0u64; 3]; crate::topology::MAX_PORTS];
+        let mut requesters = self.va_mask;
+        while requesters != 0 {
+            let flat = requesters.trailing_zeros() as usize;
+            requesters &= requesters - 1;
+            let VcState::NeedsVa {
                 out_port, class, ..
-            } = vc.state
-            {
-                has_requester[out_port.index()][class.index()] = true;
-            }
+            } = self.inputs[flat].state
+            else {
+                unreachable!("va_mask marks only NeedsVa VCs");
+            };
+            requests[out_port.index()][class.index()] |= 1 << flat;
         }
         let mut allocations = 0;
-        // Index-driven: `out_p` addresses `has_requester`, `self.outputs`,
+        // Index-driven: `out_p` addresses `requests`, `self.outputs`,
         // and `self.va_arbiters` in parallel.
         #[allow(clippy::needless_range_loop)]
         for out_p in 0..self.num_ports {
-            let wanted = &has_requester[out_p];
-            if wanted == &[false; 3] {
+            let wanted = &requests[out_p];
+            if wanted == &[0; 3] {
                 continue;
             }
             // Still one grant per output port per cycle: the first class
@@ -438,7 +465,8 @@ impl Router {
             // to the classic first-free-VC scan.
             let mut chosen = None;
             for class in VcClass::ALL {
-                if !wanted[class.index()] {
+                let mask = wanted[class.index()];
+                if mask == 0 {
                     continue;
                 }
                 let range = class.vc_range(self.vcs_per_port as u8);
@@ -446,31 +474,15 @@ impl Router {
                     .iter()
                     .position(|o| !o.allocated)
                 {
-                    chosen = Some((class, range.start + free));
+                    chosen = Some((mask, range.start + free));
                     break;
                 }
             }
-            let Some((granted_class, free_vc)) = chosen else {
+            let Some((mask, free_vc)) = chosen else {
                 continue;
             };
-            // Gather requesting input VCs into the reusable scratch
-            // vector; the flat slab index *is* the arbiter's flattened
-            // `port * V + vc` request index.
-            self.va_scratch.fill(false);
-            let mut any = false;
-            for (flat, vc) in self.inputs.iter().enumerate() {
-                if matches!(vc.state, VcState::NeedsVa { out_port, class, .. }
-                    if out_port.index() == out_p && class == granted_class)
-                {
-                    self.va_scratch[flat] = true;
-                    any = true;
-                }
-            }
-            if !any {
-                continue;
-            }
             let winner = self.va_arbiters[out_p]
-                .grant(&self.va_scratch)
+                .grant_mask(mask)
                 .expect("a request was asserted");
             let VcState::NeedsVa { packet, .. } = self.inputs[winner].state else {
                 unreachable!("VA winner must be in NeedsVa");
@@ -480,8 +492,8 @@ impl Router {
                 out_vc: free_vc as u8,
                 packet,
             };
-            self.needs_va -= 1;
-            self.active_vcs += 1;
+            self.va_mask &= !(1 << winner);
+            self.active_mask |= 1 << winner;
             self.outputs[out_p].vcs[free_vc].allocated = true;
             allocations += 1;
         }

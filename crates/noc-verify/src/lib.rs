@@ -8,11 +8,12 @@
 //!   [`refproto::RefProtocol`] and [`refrouter::RefRouter`]: a
 //!   deliberately slow, obviously-correct re-implementation of the cycle
 //!   semantics (by-value flits, `HashMap` bookkeeping, bitwise
-//!   SECDED/CRC oracles, no caches, no skip counters) that plugs into
+//!   SECDED/CRC oracles, no caches, no stage masks) that plugs into
 //!   the production experiment pipeline through the
 //!   [`SimBackend`](rlnoc_core::backend::SimBackend) seam. After a hard
 //!   fault it reroutes with its own up*/down* builder,
-//!   [`reffault::RefFaultRoutes`].
+//!   [`reffault::RefFaultRoutes`], and it arbitrates with its own
+//!   slice-scan [`refarbiter::RefArbiter`].
 //! * **A differential driver** — [`diff`] runs randomly generated
 //!   [`FuzzCase`](rlnoc_core::fuzzcase::FuzzCase)s on both engines,
 //!   demands bit-identical [`ExperimentReport`](rlnoc_core::ExperimentReport)s,
@@ -32,6 +33,7 @@
 
 pub mod backend;
 pub mod diff;
+pub mod refarbiter;
 pub mod reffault;
 pub mod refnet;
 pub mod refproto;
@@ -43,6 +45,7 @@ pub use diff::{
     batch_sample_width, run_case, run_case_batched, run_case_with, shrink, shrink_divergence,
     CaseOutcome,
 };
+pub use refarbiter::RefArbiter;
 pub use reffault::RefFaultRoutes;
 pub use refnet::RefNetwork;
 pub use refproto::RefProtocol;

@@ -5,7 +5,7 @@
 //! value** (no arena handles), source/reassembly bookkeeping uses plain
 //! `HashMap`s (no dense packet windows), routes are computed on demand
 //! (no route tables), and every phase scans every router and VC every
-//! cycle (no skip counters). The phase order, event timing, and RNG
+//! cycle (no stage masks). The phase order, event timing, and RNG
 //! consumption are contractually identical to the optimized engine —
 //! that is exactly what the differential oracle verifies.
 

@@ -3,13 +3,13 @@
 //! This is a by-value re-implementation of the optimized router in
 //! `noc_sim::router` with none of its performance machinery: flits are
 //! stored by value in `VecDeque` FIFOs (no arena handles), there are no
-//! pipeline-stage skip counters, and every stage scans every VC every
-//! cycle. Obviously correct beats fast here — the differential oracle
+//! pipeline-stage bitmasks, every stage scans every VC every cycle, and
+//! arbitration is the slice-scan [`RefArbiter`]. Obviously correct beats fast here — the differential oracle
 //! diffs this model against the optimized kernel.
 
+use crate::refarbiter::RefArbiter;
 use crate::reffault::RefFaultRoutes;
 use noc_coding::arq::{RetransmitBuffer, SequenceNumber};
-use noc_sim::arbiter::RoundRobinArbiter;
 use noc_sim::config::NocConfig;
 use noc_sim::flit::{Flit, PacketId};
 use noc_sim::routing::min_route;
@@ -110,11 +110,11 @@ pub struct RefRouter {
     /// `outputs[port]`.
     pub(crate) outputs: Vec<OutputPort>,
     /// Per output port, over `NUM_PORTS * V` flattened input VCs.
-    pub(crate) va_arbiters: Vec<RoundRobinArbiter>,
+    pub(crate) va_arbiters: Vec<RefArbiter>,
     /// Per input port, over its `V` VCs.
-    pub(crate) sa_input_arbiters: Vec<RoundRobinArbiter>,
+    pub(crate) sa_input_arbiters: Vec<RefArbiter>,
     /// Per output port, over the input ports.
-    pub(crate) sa_output_arbiters: Vec<RoundRobinArbiter>,
+    pub(crate) sa_output_arbiters: Vec<RefArbiter>,
     /// VCs per port (for the date-line class ranges).
     vcs_per_port: u8,
 }
@@ -151,12 +151,10 @@ impl RefRouter {
             inputs,
             outputs,
             va_arbiters: (0..num_ports)
-                .map(|_| RoundRobinArbiter::new(num_ports * v))
+                .map(|_| RefArbiter::new(num_ports * v))
                 .collect(),
-            sa_input_arbiters: (0..num_ports).map(|_| RoundRobinArbiter::new(v)).collect(),
-            sa_output_arbiters: (0..num_ports)
-                .map(|_| RoundRobinArbiter::new(num_ports))
-                .collect(),
+            sa_input_arbiters: (0..num_ports).map(|_| RefArbiter::new(v)).collect(),
+            sa_output_arbiters: (0..num_ports).map(|_| RefArbiter::new(num_ports)).collect(),
             vcs_per_port: config.vcs_per_port,
         }
     }
