@@ -17,13 +17,15 @@
 
 use crate::modes::OperationMode;
 use crate::protocol::FaultTolerantProtocol;
+use noc_fault::hardfault::HardFaultSchedule;
 use noc_fault::timing::TimingErrorModel;
 use noc_fault::variation::VariationMap;
 use noc_sim::config::NocConfig;
 use noc_sim::network::{HardFaultEvent, Network, SharedTables};
 use noc_sim::stats::{EventCounters, NetworkStats, RouterEpochStats};
-use noc_sim::topology::NodeId;
+use noc_sim::topology::{NodeId, Topo};
 use rlnoc_telemetry::Telemetry;
+use std::sync::Mutex;
 
 /// A cycle-accurate data-plane implementation the experiment runner can
 /// drive. See the [module docs](self) for the behavioral contract.
@@ -115,11 +117,13 @@ pub trait SimBackend {
 /// in their seeds, so everything derived from the topology and the
 /// hard-fault schedule (route tables, neighbor tables, post-fault
 /// reroute tables) is identical across lanes and is built once per
-/// batch through [`make_shared`](Self::make_shared). The sharing must
-/// be invisible: a backend built by
-/// [`build_with_shared`](Self::build_with_shared) must be byte-
-/// identical in behavior to one built by [`SimBackend::build`] — the
-/// lane-equivalence test wall checks exactly this.
+/// [`SharedRegistry`] through [`make_shared`](Self::make_shared): once
+/// per call of the batch entry points, and once per campaign run under
+/// `rlnoc-runner`, whose registry spans every lockstep group and
+/// singleton task of the run. The sharing must be invisible: a backend
+/// built by [`build_with_shared`](Self::build_with_shared) must be
+/// byte-identical in behavior to one built by [`SimBackend::build`] —
+/// the lane-equivalence test wall checks exactly this.
 pub trait BatchSimBackend: SimBackend + Sized {
     /// Immutable state shared by every lane of a batch. Cloning must be
     /// cheap (reference-counted) and must alias, not copy.
@@ -138,6 +142,59 @@ pub trait BatchSimBackend: SimBackend + Sized {
         protocol_seed: u64,
         network_seed: u64,
     ) -> Self;
+}
+
+/// Shared tables for the lanes of one scope (a batch call, or a whole
+/// campaign run), one [`BatchSimBackend::Shared`] per distinct
+/// (mesh, rendered hard-fault schedule) pair.
+///
+/// The key is semantic — the schedule's rendered text, not its `Arc` —
+/// so lanes with different schedules or meshes never alias one
+/// another's tables, while every lane of a pair resolves the same
+/// instance however the lanes are grouped. The registry lives exactly as
+/// long as its owner keeps it: tables never outlive the run that built
+/// them, so repeated runs each pay their own builds.
+pub struct SharedRegistry<B: BatchSimBackend = Network<FaultTolerantProtocol>> {
+    entries: Mutex<Vec<(RegistryKey, B::Shared)>>,
+}
+
+/// A [`SharedRegistry`] key: the mesh and the rendered schedule (empty
+/// when fault-free).
+type RegistryKey = (Topo, String);
+
+impl<B: BatchSimBackend> SharedRegistry<B> {
+    /// An empty registry.
+    pub fn new() -> Self {
+        Self {
+            entries: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The tables for `noc`'s mesh under `schedule`, built on first
+    /// request and aliased by every later one.
+    pub(crate) fn tables(
+        &self,
+        noc: &NocConfig,
+        schedule: Option<&HardFaultSchedule>,
+    ) -> B::Shared {
+        let key = (
+            noc.mesh,
+            schedule.map(HardFaultSchedule::to_text).unwrap_or_default(),
+        );
+        let mut entries = self.entries.lock().expect("shared-table registry poisoned");
+        if let Some((_, tables)) = entries.iter().find(|(k, _)| *k == key) {
+            return tables.clone();
+        }
+        let tables = B::make_shared(noc);
+        entries.push((key, tables.clone()));
+        tables
+    }
+}
+
+impl<B: BatchSimBackend> Default for SharedRegistry<B> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// The production backend: the optimized kernel behind every figure.

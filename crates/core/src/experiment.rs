@@ -16,7 +16,7 @@
 //! The closed loop — traffic → power → temperature → timing errors →
 //! retransmissions → traffic — is exactly the paper's evaluation system.
 
-use crate::backend::{BatchSimBackend, SimBackend};
+use crate::backend::{BatchSimBackend, SharedRegistry, SimBackend};
 use crate::benchmarks::{ProfileSource, WorkloadProfile};
 use crate::controller::{ControllerBank, DtSample, DtThresholds};
 use crate::modes::OperationMode;
@@ -31,7 +31,7 @@ use noc_rl::state::RouterFeatures;
 use noc_sim::config::NocConfig;
 use noc_sim::network::{HardFaultEvent, HardFaultKind, Network};
 use noc_sim::stats::EventCounters;
-use noc_sim::topology::{Direction, Topo};
+use noc_sim::topology::Direction;
 use noc_sim::traffic::{SyntheticSource, TrafficPattern, TrafficSource};
 use rlnoc_telemetry::{EpochRecord, Phase, RunId, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -158,6 +158,12 @@ impl ExperimentBuilder {
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
+    }
+
+    /// The master seed set so far — lets a campaign's `customize` hook
+    /// vary a lane by the seed the campaign derived for it.
+    pub fn master_seed(&self) -> u64 {
+        self.seed
     }
 
     /// Control-epoch length in cycles (default 1 000, §V-B).
@@ -449,34 +455,28 @@ impl Experiment {
     }
 
     /// [`run_batch_inspect`](Self::run_batch_inspect) on an alternative
-    /// lane-capable backend.
+    /// lane-capable backend. The lanes share tables among themselves
+    /// only: each call builds its own.
     pub fn run_batch_inspect_with_backend<B: BatchSimBackend>(
         lanes: Vec<Experiment>,
     ) -> Vec<(ExperimentReport, RunArtifacts)> {
-        // One shared-table set per distinct (mesh, hard-fault schedule)
-        // pair; replicate lanes of one campaign cell all alias the first
-        // entry. The key is semantic (the rendered schedule), so a mixed
-        // batch degrades to per-group sharing instead of misbehaving.
-        let mut shared: Vec<((Topo, String), B::Shared)> = Vec::new();
+        Self::run_batch_inspect_shared(lanes, &SharedRegistry::<B>::new())
+    }
+
+    /// [`run_batch_inspect_with_backend`](Self::run_batch_inspect_with_backend),
+    /// resolving each lane's tables through `registry`, so lanes of one
+    /// (mesh, hard-fault schedule) pair alias one table set across every
+    /// call that passes the same registry — the campaign runner passes
+    /// one per run. A mixed batch degrades to per-pair sharing instead
+    /// of misbehaving.
+    pub fn run_batch_inspect_shared<B: BatchSimBackend>(
+        lanes: Vec<Experiment>,
+        registry: &SharedRegistry<B>,
+    ) -> Vec<(ExperimentReport, RunArtifacts)> {
         let mut runners: Vec<Runner<B>> = lanes
             .into_iter()
             .map(|lane| {
-                let key = (
-                    lane.cfg.noc.mesh,
-                    lane.cfg
-                        .hard_faults
-                        .as_ref()
-                        .map(|s| s.to_text())
-                        .unwrap_or_default(),
-                );
-                let tables = match shared.iter().find(|(k, _)| *k == key) {
-                    Some((_, tables)) => tables.clone(),
-                    None => {
-                        let tables = B::make_shared(&lane.cfg.noc);
-                        shared.push((key, tables.clone()));
-                        tables
-                    }
-                };
+                let tables = registry.tables(&lane.cfg.noc, lane.cfg.hard_faults.as_deref());
                 Runner::<B>::new_batched(lane.cfg, &tables)
             })
             .collect();

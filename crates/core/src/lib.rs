@@ -54,12 +54,14 @@ pub mod modes;
 pub mod protocol;
 pub mod spec;
 
-pub use backend::SimBackend;
+pub use backend::{SharedRegistry, SimBackend};
 pub use benchmarks::WorkloadProfile;
 pub use campaign::{Campaign, CampaignResult, CampaignTask};
 pub use controller::{ControllerBank, DtSample, DtThresholds, PolicyLoadError};
 pub use experiment::{ErrorControlScheme, Experiment, ExperimentReport};
 pub use fuzzcase::{FieldDiff, FuzzCase};
 pub use modes::OperationMode;
+/// The hard-fault schedule type [`Campaign::hard_faults`] carries.
+pub use noc_fault::hardfault::HardFaultSchedule;
 pub use protocol::FaultTolerantProtocol;
 pub use spec::{CampaignSpec, SpecError};

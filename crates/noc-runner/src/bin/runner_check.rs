@@ -8,23 +8,41 @@
 //! 3. batched through `BatchSim` (8 lockstep lanes per replicate
 //!    group),
 //! 4. resumed from a half-populated checkpoint directory (simulating a
-//!    campaign killed midway).
+//!    campaign killed midway),
+//! 5. hard-faulted with 3 replicates at batch 2 — a lockstep pair plus
+//!    a singleton per cell, all sharing the run's reroute tables.
 //!
 //! Exits non-zero on any mismatch, so CI fails when a change breaks the
 //! byte-identical parallel/serial contract or checkpoint round-tripping.
 
 use rlnoc_core::campaign::Campaign;
-use rlnoc_core::WorkloadProfile;
+use rlnoc_core::{HardFaultSchedule, WorkloadProfile};
 use rlnoc_runner::{CheckpointDir, RunnerConfig};
 use rlnoc_telemetry::Telemetry;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 fn check_campaign() -> Campaign {
     let mut campaign = Campaign::quick();
     campaign.workloads = vec![WorkloadProfile::blackscholes(), WorkloadProfile::canneal()];
     campaign.pretrain_cycles = 4_000;
     campaign.measure_cycles = Some(4_000);
+    campaign
+}
+
+/// [`check_campaign`] with 3 replicates and links failing mid-run, so
+/// batch 2 splits every cell into a lockstep pair and a singleton.
+fn faulted_campaign() -> Campaign {
+    let mut campaign = check_campaign();
+    campaign.replicates = 3;
+    campaign.hard_faults = Some(Arc::new(HardFaultSchedule::random(
+        campaign.noc.mesh,
+        4,
+        0,
+        (500, 6_000),
+        11,
+    )));
     campaign
 }
 
@@ -117,6 +135,33 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!("resume == serial ({restored} restored, {executed} executed)");
+
+    // Faulted leg: ragged lockstep groups and singletons resolve one
+    // set of reroute tables for the whole run.
+    let faulted = faulted_campaign();
+    let faulted_serial = faulted.run();
+    if !faulted_serial
+        .reports
+        .iter()
+        .any(|r| r.hard_fault_events > 0)
+    {
+        eprintln!("FAIL: no faulted task took a fault inside its measured window");
+        return ExitCode::FAILURE;
+    }
+    let faulted_batched = RunnerConfig {
+        jobs,
+        batch: 2,
+        ..RunnerConfig::serial()
+    }
+    .run_campaign(&faulted);
+    if faulted_batched != faulted_serial {
+        eprintln!("FAIL: faulted batch-2 result differs from serial run");
+        return ExitCode::FAILURE;
+    }
+    println!(
+        "faulted == serial ({} tasks, batch 2)",
+        faulted_serial.reports.len()
+    );
     println!("runner_check: OK");
     ExitCode::SUCCESS
 }

@@ -17,6 +17,7 @@ use crate::checkpoint::CheckpointDir;
 use crate::pool;
 use rlnoc_core::campaign::{Campaign, CampaignResult, CampaignTask};
 use rlnoc_core::experiment::ExperimentReport;
+use rlnoc_core::{Experiment, SharedRegistry};
 use rlnoc_telemetry::Telemetry;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -34,7 +35,7 @@ pub struct RunnerConfig {
     pub resume: bool,
     /// `BatchSim` lane width: replicates of one (workload, scheme)
     /// cell run as a single lockstep batched task of up to this many
-    /// lanes (1 = scalar execution, the historical behavior). Purely an
+    /// lanes (1 = every task runs alone). Purely an
     /// execution strategy — results, checkpoints, and fingerprints are
     /// byte-identical for every width.
     pub batch: usize,
@@ -61,8 +62,8 @@ impl RunnerConfig {
     ///
     /// * `RLNOC_JOBS` — worker threads; `0` or unset = serial, `max` =
     ///   all available cores.
-    /// * `RLNOC_BATCH` — `BatchSim` lane width; `0`/`1` or unset =
-    ///   scalar execution.
+    /// * `RLNOC_BATCH` — `BatchSim` lane width; `0`/`1` or unset = every
+    ///   task runs alone.
     /// * `SNAPSHOT_DIR` — checkpoint/policy-snapshot directory.
     /// * `RESUME` — `1`/`true` to reload checkpoints from
     ///   `SNAPSHOT_DIR`.
@@ -176,11 +177,14 @@ impl RunnerConfig {
 
         // Replicates of one (workload, scheme) cell batch into lockstep
         // groups of up to `batch` lanes; ragged tails become smaller
-        // groups and singletons fall back to the scalar path.
+        // groups, down to singletons. Every group resolves its tables
+        // through one registry for the whole run, so each reroute table
+        // is built once per run, not once per group.
         let groups = batch_groups(pending, self.batch);
+        let registry = SharedRegistry::default();
         let completed = self.telemetry.counter("runner.tasks_completed");
         let fresh = pool::run_indexed(groups, self.jobs, &self.telemetry, |_, group| {
-            let reports = execute_batch(campaign, &group, ckpt.as_deref());
+            let reports = execute_batch(campaign, &group, &registry, ckpt.as_deref());
             // The pool counts one completion per queue item (= group);
             // top up so the counter stays per-task.
             if group.len() > 1 {
@@ -212,11 +216,11 @@ impl RunnerConfig {
 /// given, persists its report (and any learned policy snapshot as
 /// `task-NNNN.policy`).
 ///
-/// This is the single-task unit [`RunnerConfig::run_campaign`] is built
-/// from, exported so external schedulers — `rlnoc-serve`'s fair-share
-/// worker pool — can run tasks one at a time with the exact same
-/// execution + persistence semantics and stay byte-identical to a
-/// runner invocation.
+/// Exported so external schedulers — `rlnoc-serve`'s fair-share worker
+/// pool — can run tasks one at a time with the persistence semantics of
+/// [`RunnerConfig::run_campaign`] and stay byte-identical to a runner
+/// invocation. The task builds its own private tables, where the runner
+/// shares them across the run (see [`execute_batch`]).
 ///
 /// # Panics
 ///
@@ -251,8 +255,9 @@ fn persist_task(
 
 /// Executes a group of replicate lanes from one campaign cell as a
 /// single `BatchSim` task, with the exact persistence semantics of
-/// [`execute_task`] applied per lane. Singleton groups take the scalar
-/// path — the ragged-tail fallback.
+/// [`execute_task`] applied per lane. The lanes' tables come from
+/// `registry`, which [`RunnerConfig::run_campaign`] shares across every
+/// group of a run — singleton groups included.
 ///
 /// # Panics
 ///
@@ -260,13 +265,11 @@ fn persist_task(
 pub fn execute_batch(
     campaign: &Campaign,
     group: &[CampaignTask],
+    registry: &SharedRegistry,
     ckpt: Option<&CheckpointDir>,
 ) -> Vec<ExperimentReport> {
-    if group.len() == 1 {
-        return vec![execute_task(campaign, &group[0], ckpt)];
-    }
     let lanes = group.iter().map(|task| campaign.experiment(task)).collect();
-    rlnoc_core::Experiment::run_batch_inspect(lanes)
+    Experiment::run_batch_inspect_shared(lanes, registry)
         .into_iter()
         .zip(group)
         .map(|((report, artifacts), task)| {

@@ -305,6 +305,142 @@ fn faulted_replicated_campaign_matches_serial_under_batching_and_resume() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// Distinct fault cycles of `schedule`: one applied batch, hence one
+/// reroute table, each.
+fn distinct_fault_cycles(schedule: &noc_fault::hardfault::HardFaultSchedule) -> u64 {
+    let cycles: std::collections::BTreeSet<u64> =
+        schedule.entries.iter().map(|e| e.cycle).collect();
+    cycles.len() as u64
+}
+
+/// A replicated two-scheme 4×4 campaign whose faults all land by cycle
+/// 3 000, before even a static-scheme lane (no pre-training) ends.
+fn churn_campaign() -> rlnoc_core::campaign::Campaign {
+    use noc_fault::hardfault::HardFaultSchedule;
+    use noc_fault::topo::Mesh;
+    use rlnoc_core::ErrorControlScheme;
+    let mut campaign = tiny_campaign();
+    campaign.replicates = 3;
+    campaign.schemes = vec![
+        ErrorControlScheme::StaticCrc,
+        ErrorControlScheme::ProposedRl,
+    ];
+    campaign.hard_faults = Some(std::sync::Arc::new(HardFaultSchedule::random(
+        Mesh::new(4, 4),
+        3,
+        1,
+        (300, 3_000),
+        41,
+    )));
+    campaign
+}
+
+/// Runs `campaign` through the runner with fresh campaign telemetry and
+/// returns the result with the number of reroute tables built.
+fn run_counting_builds(
+    campaign: &rlnoc_core::campaign::Campaign,
+    jobs: usize,
+    batch: usize,
+) -> (rlnoc_core::campaign::CampaignResult, u64) {
+    let telemetry = Telemetry::enabled();
+    let mut counted = campaign.clone();
+    counted.telemetry = telemetry.clone();
+    let result = RunnerConfig {
+        jobs,
+        batch,
+        ..RunnerConfig::serial()
+    }
+    .run_campaign(&counted);
+    let builds = telemetry.counter("sim.hardfault.route_computes").get();
+    (result, builds)
+}
+
+/// The runner shares one table set per (mesh, schedule) across a whole
+/// run: every group and singleton task of the run, both schemes
+/// included, resolves the same reroute tables, so each fault cycle's
+/// table is built exactly once per run — not once per lockstep group.
+#[test]
+fn faulted_campaign_builds_each_reroute_table_once_per_run() {
+    let campaign = churn_campaign();
+    let serial = campaign.run();
+    assert!(
+        serial.reports.iter().any(|r| r.reroute_events > 0),
+        "faults must strike inside some measured window"
+    );
+    let schedule = campaign.hard_faults.as_deref().expect("faulted");
+    let cycles = distinct_fault_cycles(schedule);
+    assert!(cycles >= 3, "the schedule must spread over several cycles");
+    for (jobs, batch) in [(1, 1), (2, 1), (2, 2), (4, 8)] {
+        let (result, builds) = run_counting_builds(&campaign, jobs, batch);
+        assert_eq!(
+            result, serial,
+            "jobs {jobs} batch {batch} must match the serial run"
+        );
+        assert_eq!(
+            builds, cycles,
+            "jobs {jobs} batch {batch}: one build per distinct fault cycle per run"
+        );
+    }
+    // The registry is scoped to one run: running again builds again.
+    let (_, builds) = run_counting_builds(&campaign, 2, 2);
+    assert_eq!(builds, cycles, "a second run pays its own builds");
+}
+
+/// The second schedule of the mixed-schedule campaign.
+fn second_schedule() -> noc_fault::hardfault::HardFaultSchedule {
+    noc_fault::hardfault::HardFaultSchedule::random(
+        noc_fault::topo::Mesh::new(4, 4),
+        2,
+        1,
+        (400, 2_500),
+        97,
+    )
+}
+
+fn odd_seeds_take_second_schedule(
+    builder: rlnoc_core::experiment::ExperimentBuilder,
+) -> rlnoc_core::experiment::ExperimentBuilder {
+    if builder.master_seed() % 2 == 1 {
+        builder.hard_faults(std::sync::Arc::new(second_schedule()))
+    } else {
+        builder
+    }
+}
+
+/// Lanes of one cell with different schedules share a lockstep group
+/// but never a table set: the registry keys tables by the rendered
+/// schedule, so each schedule's tables are built once and served only
+/// to its own lanes.
+#[test]
+fn faulted_mixed_schedules_keep_separate_tables() {
+    let mut campaign = churn_campaign();
+    campaign.replicates = 4;
+    campaign.customize = Some(odd_seeds_take_second_schedule);
+    let tasks = campaign.tasks();
+    assert!(
+        tasks.iter().any(|t| t.seed % 2 == 1) && tasks.iter().any(|t| t.seed % 2 == 0),
+        "the campaign must mix both schedules"
+    );
+    let serial = campaign.run();
+    let first = campaign.hard_faults.as_deref().expect("faulted");
+    let cycles = distinct_fault_cycles(first) + distinct_fault_cycles(&second_schedule());
+    for (jobs, batch) in [(2, 8), (2, 1)] {
+        let (result, builds) = run_counting_builds(&campaign, jobs, batch);
+        assert_eq!(result.reports.len(), serial.reports.len());
+        for (task, (got, want)) in result.reports.iter().zip(&serial.reports).enumerate() {
+            assert_eq!(
+                rlnoc_runner::render_report(got),
+                rlnoc_runner::render_report(want),
+                "jobs {jobs} batch {batch}: task {task} must match the serial run byte for byte"
+            );
+        }
+        assert_eq!(
+            builds, cycles,
+            "jobs {jobs} batch {batch}: each schedule builds its own tables once"
+        );
+    }
+}
+
 /// The BatchSim contract end to end: replicate lanes grouped into
 /// lockstep batches (ragged tails included) produce byte-identical
 /// campaign results, write the same per-lane checkpoints and policy

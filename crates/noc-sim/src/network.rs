@@ -40,7 +40,7 @@ use noc_coding::arq::{AckKind, SequenceNumber};
 use noc_coding::crc::Crc32;
 use rlnoc_telemetry::{Counter, Gauge, Histogram, Telemetry, TimerHandle};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Per-cycle runtime invariant checks (child module so it can traverse
 /// the private event wheel); compiled only under the `verify` feature
@@ -236,52 +236,61 @@ impl FaultState {
     }
 }
 
-/// Memo of fault-adaptive route tables, shared by lockstep replicate
-/// lanes that run the *same* hard-fault schedule on the *same* mesh.
+/// Memo of fault-adaptive route tables, shared by every network that
+/// runs the *same* hard-fault schedule on the *same* mesh.
 ///
 /// The dead-element sets after each applied event batch are a pure
 /// function of the schedule (never of packet dynamics), and
-/// [`FaultRoutes::compute`] is deterministic on those sets — so lanes
+/// [`FaultRoutes::compute`] is deterministic on those sets — so networks
 /// reaching the same applied-event count need the same table. The cache
-/// is keyed by that count; the first lane to take a fault batch pays the
-/// up*/down* recomputation and every other lane reuses the `Arc`.
+/// is keyed by that count; the first network to take a fault batch pays
+/// the up*/down* recomputation and every other one reuses the `Arc`.
+///
+/// Each key owns a [`OnceLock`] cell. The map mutex is held only to
+/// fetch or insert a cell; the table is built outside it, so workers
+/// needing different prefixes build concurrently, workers needing the
+/// same prefix wait for one build instead of each paying for it, and a
+/// build that panics leaves its cell empty (the next request builds
+/// again) instead of poisoning the cache for every other network.
 ///
 /// Sharing one cache across networks with *different* schedules or
 /// meshes would serve wrong tables; [`SharedTables`] therefore owns the
-/// cache and batch construction hands one only to lanes of one
-/// replicate group. Under the `verify` feature with `RLNOC_VERIFY=1`
-/// every cache hit is re-derived from scratch and compared, so a
-/// poisoned or mismatched entry panics instead of silently steering.
+/// cache, and its owners hand one instance only to networks of one
+/// (mesh, schedule) pair. Under the `verify` feature with
+/// `RLNOC_VERIFY=1` every cache hit is re-derived from scratch and
+/// compared, so a poisoned or mismatched entry panics instead of
+/// silently steering.
 #[derive(Debug, Clone, Default)]
 pub struct FaultRouteCache {
-    inner: Arc<Mutex<BTreeMap<usize, Arc<FaultRoutes>>>>,
+    inner: Arc<Mutex<BTreeMap<usize, RouteCell>>>,
 }
 
+/// One cache key's table, published once by whichever caller builds it.
+type RouteCell = Arc<OnceLock<Arc<FaultRoutes>>>;
+
 impl FaultRouteCache {
-    /// Returns the memoized table for `applied_events`, computing and
-    /// publishing it on first request.
+    /// Returns the memoized table for `applied_events`, building and
+    /// publishing it with `compute` on first request. The flag is `true`
+    /// when this call ran `compute`, `false` on a hit (including a hit
+    /// that waited for another thread's build).
     fn get_or_compute(
         &self,
         applied_events: usize,
         compute: impl FnOnce() -> FaultRoutes,
-    ) -> Arc<FaultRoutes> {
-        let mut map = self.inner.lock().expect("fault-route cache poisoned");
-        if let Some(hit) = map.get(&applied_events) {
-            let hit = Arc::clone(hit);
-            drop(map);
-            #[cfg(feature = "verify")]
-            if invariants::armed() {
-                assert!(
-                    compute() == *hit,
-                    "shared fault-route cache entry for {applied_events} applied \
-                     events diverges from recomputation"
-                );
-            }
-            return hit;
-        }
-        let fresh = Arc::new(compute());
-        map.insert(applied_events, Arc::clone(&fresh));
-        fresh
+    ) -> (Arc<FaultRoutes>, bool) {
+        let cell = Arc::clone(
+            self.inner
+                .lock()
+                .expect("fault-route cache poisoned")
+                .entry(applied_events)
+                .or_default(),
+        );
+        let mut built = false;
+        let routes = cell.get_or_init(|| {
+            built = true;
+            Arc::new(compute())
+        });
+        (Arc::clone(routes), built)
     }
 
     /// Test hook: plants a (presumably wrong) table under
@@ -293,20 +302,22 @@ impl FaultRouteCache {
         self.inner
             .lock()
             .expect("fault-route cache poisoned")
-            .insert(applied_events, Arc::new(routes));
+            .insert(applied_events, Arc::new(OnceLock::from(Arc::new(routes))));
     }
 }
 
-/// Immutable lookup state that replicate lanes of a batched simulation
-/// share instead of rebuilding per lane: the X-Y route table, the
-/// neighbor table, and the [`FaultRouteCache`].
+/// Immutable lookup state that networks of one (mesh, hard-fault
+/// schedule) pair share instead of rebuilding per network: the X-Y
+/// route table, the neighbor table, and the [`FaultRouteCache`].
 ///
-/// All lanes must run the same mesh; lanes handed the same instance must
-/// additionally run the same hard-fault schedule (see
-/// [`FaultRouteCache`]). Construction via [`Network::with_shared`] is
-/// behaviorally identical to [`Network::new`] — the tables are the same
-/// values, merely shared — so per-lane results stay byte-identical to
-/// independently built networks.
+/// All sharers must run the same mesh; sharers must additionally run the
+/// same hard-fault schedule (see [`FaultRouteCache`]). The campaign
+/// runner keeps one instance per pair for a whole run, so every lockstep
+/// group and singleton task of that run aliases the same tables and each
+/// reroute table is built once per run. Construction via
+/// [`Network::with_shared`] is behaviorally identical to
+/// [`Network::new`] — the tables are the same values, merely shared — so
+/// per-network results stay byte-identical to independently built ones.
 #[derive(Debug, Clone)]
 pub struct SharedTables {
     mesh: Topo,
@@ -449,6 +460,9 @@ struct NetTelemetry {
     buffered_flits: Histogram,
     hardfault_events: Counter,
     hardfault_reroutes: Counter,
+    /// Up*/down* tables actually built: cache misses plus every fault
+    /// batch of an uncached network (cache hits build nothing).
+    hardfault_route_computes: Counter,
     hardfault_packets_lost: Counter,
     hardfault_unreachable_pairs: Gauge,
 }
@@ -470,6 +484,7 @@ impl NetTelemetry {
             buffered_flits: telemetry.histogram("sim.router.buffered_flits"),
             hardfault_events: telemetry.counter("sim.hardfault.events"),
             hardfault_reroutes: telemetry.counter("sim.hardfault.reroutes"),
+            hardfault_route_computes: telemetry.counter("sim.hardfault.route_computes"),
             hardfault_packets_lost: telemetry.counter("sim.hardfault.packets_lost"),
             hardfault_unreachable_pairs: telemetry.gauge("sim.hardfault.unreachable_pairs"),
         }
@@ -1938,10 +1953,22 @@ impl<E: ErrorControl> Network<E> {
                 !fs.link_dead[n.index()][d.index()]
             })
         };
-        let routes = match &self.fault_cache {
+        let (routes, built) = match &self.fault_cache {
             Some(cache) => cache.get_or_compute(fs.next_event, compute),
-            None => Arc::new(compute()),
+            None => (Arc::new(compute()), true),
         };
+        if built {
+            self.tel.hardfault_route_computes.inc();
+        }
+        #[cfg(feature = "verify")]
+        if !built && invariants::armed() {
+            assert!(
+                compute() == *routes,
+                "shared fault-route cache entry for {} applied events \
+                 diverges from recomputation",
+                fs.next_event
+            );
+        }
         let unreachable = routes.unreachable_pairs();
         fs.routes = Some(routes);
 
@@ -2887,5 +2914,83 @@ mod hardfault_tests {
             s.packets_delivered + s.packets_lost_hard_fault,
             s.packets_injected
         );
+    }
+
+    /// A 4×4 mesh's up*/down* table with every element alive.
+    fn healthy_routes() -> FaultRoutes {
+        let mesh = Topo::mesh(4, 4);
+        FaultRoutes::compute(mesh, &vec![true; mesh.num_nodes()], |_, _| true)
+    }
+
+    #[test]
+    fn fault_route_cache_builds_once_for_racing_requests() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+        let cache = FaultRouteCache::default();
+        let builds = AtomicUsize::new(0);
+        let start = Barrier::new(2);
+        let results: Vec<(Arc<FaultRoutes>, bool)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        cache.get_or_compute(3, || {
+                            builds.fetch_add(1, Ordering::SeqCst);
+                            healthy_routes()
+                        })
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("worker panicked"))
+                .collect()
+        });
+        assert_eq!(builds.load(Ordering::SeqCst), 1, "one build serves both");
+        assert_eq!(
+            results.iter().filter(|(_, built)| *built).count(),
+            1,
+            "exactly one caller reports the build"
+        );
+        assert!(Arc::ptr_eq(&results[0].0, &results[1].0), "both alias it");
+    }
+
+    #[test]
+    fn fault_route_cache_survives_a_panicking_build() {
+        let cache = FaultRouteCache::default();
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_compute(1, || panic!("build failed"))
+        }));
+        assert!(failed.is_err(), "the build's panic reaches its caller");
+        let (routes, built) = cache.get_or_compute(1, healthy_routes);
+        assert!(built, "the failed build left the key empty");
+        assert!(*routes == healthy_routes());
+        let (again, built) = cache.get_or_compute(1, || unreachable!("cached"));
+        assert!(!built);
+        assert!(Arc::ptr_eq(&routes, &again));
+    }
+
+    #[test]
+    fn fault_route_computes_count_only_real_builds() {
+        // Two networks sharing one cache and one two-batch schedule build
+        // two tables between them; an uncached network builds its own.
+        let config = NocConfig::builder().mesh(4, 4).build();
+        let shared = SharedTables::new(config.mesh);
+        let telemetry = Telemetry::enabled();
+        let schedule = || vec![router(10, NodeId(5)), router(20, NodeId(10))];
+        let mut nets: Vec<Network<PerfectLink>> = (0..2)
+            .map(|seed| Network::with_shared(config, PerfectLink::new(), seed, &shared))
+            .collect();
+        nets.push(Network::new(config, PerfectLink::new(), 2));
+        for net in &mut nets {
+            net.set_telemetry(&telemetry);
+            net.set_hard_faults(schedule());
+            while net.cycle() <= 20 {
+                net.step();
+            }
+            assert_eq!(net.stats().reroute_events, 2);
+        }
+        let computes = telemetry.counter("sim.hardfault.route_computes").get();
+        assert_eq!(computes, 2 + 2, "shared pair builds 2, uncached net 2");
     }
 }
